@@ -107,6 +107,12 @@ class EGNNLayer : public Module {
     /// sources src-side rows through the hook (which exchanges boundary
     /// rows with the other ranks) instead of a local gather.
     GraphParallelHook* halo = nullptr;
+
+    /// Context over `num_nodes` receivers with inv_degree counted from
+    /// `edge_dst`; the edge arrays are held by pointer and must outlive it.
+    static EdgeContext build(const std::vector<std::int64_t>& edge_src,
+                             const std::vector<std::int64_t>& edge_dst,
+                             Tensor edge_shift, std::int64_t num_nodes);
   };
 
   /// `state` packs [h | x | F] as (N, hidden + 6); returns the new state.
@@ -139,11 +145,11 @@ class GraphParallelHook {
  public:
   virtual ~GraphParallelHook() = default;
 
-  /// Owned-node count / inputs of this rank's shard.
-  virtual std::int64_t num_owned() const = 0;
+  /// Inputs of this rank's shard.
   virtual const std::vector<int>& owned_species() const = 0;
   virtual const Tensor& owned_positions() const = 0;
-  /// Local edge context (edge_src/edge_dst in local ids, halo == this).
+  /// Local edge context (edge_src/edge_dst in local ids, num_nodes = the
+  /// owned-node count, halo == this).
   virtual const EGNNLayer::EdgeContext& edge_context() const = 0;
 
   /// Per-edge src-side coordinate rows (E_local, 3). Posts the boundary
@@ -181,11 +187,12 @@ class EGNNModel : public Module {
   struct ForwardOptions {
     /// Wrap each EGNN layer in an activation checkpoint (Sec. V-B).
     bool activation_checkpointing = false;
-    /// Non-null runs the graph-parallel forward: the backbone processes
-    /// only this rank's owned nodes (ghost rows arriving through the
+    /// Non-null runs the forward on this rank's partition: the backbone
+    /// processes only the owned nodes (ghost rows arriving through the
     /// hook's halo exchange), then the readout replicates the final node
     /// features so energies/forces/loss come out FULL and bit-identical
-    /// to the unpartitioned forward on every rank.
+    /// to the unpartitioned forward on every rank. Null is the
+    /// single-partition case of the same forward.
     GraphParallelHook* graph_parallel = nullptr;
   };
 
@@ -202,9 +209,6 @@ class EGNNModel : public Module {
   double last_feature_spread() const { return last_feature_spread_; }
 
  private:
-  Output forward_graph_parallel(const GraphBatch& batch,
-                                const ForwardOptions& options) const;
-
   ModelConfig config_;
   std::unique_ptr<Embedding> embedding_;
   std::vector<std::unique_ptr<EGNNLayer>> layers_;

@@ -43,10 +43,10 @@ struct DistTrainOptions {
   /// and therefore the whole run — is BIT-IDENTICAL to the single-rank
   /// unpartitioned run (the partition-parity test wall enforces this).
   /// In this mode per_rank_batch_size is reinterpreted as the GLOBAL batch
-  /// size (all ranks fetch the same samples), optimizer state is plain
-  /// per-rank Adam (no all-reduce; see docs/graph-parallelism.md for why
-  /// DDP averaging would break bit-identity), and the run requires kDDP
-  /// strategy, float64 compute, and max_grad_norm == 0.
+  /// size (all ranks fetch the same samples), each rank updates with plain
+  /// local Adam (no all-reduce; see docs/graph-parallelism.md for why DDP
+  /// averaging would break bit-identity), and the run requires the kDDP
+  /// strategy and float64 compute.
   bool graph_parallel = false;
   std::int64_t epochs = 2;
   std::int64_t per_rank_batch_size = 4;
@@ -56,9 +56,10 @@ struct DistTrainOptions {
   /// Step-based LR schedule; overrides adam.learning_rate when set (parity
   /// with TrainOptions::schedule — both trainers honor the same schedules).
   std::optional<LrSchedule> schedule;
-  /// Joint L2 clip applied to the rank-AVERAGED gradient; 0 disables.
-  /// Clipping after averaging keeps replicas bit-identical (per-replica
-  /// clipping before the all-reduce would break the sync invariant).
+  /// Joint L2 clip applied to the rank-AVERAGED gradient (under
+  /// graph_parallel: to the replicated gradient); 0 disables. Clipping after
+  /// averaging keeps replicas bit-identical (per-replica clipping before
+  /// the all-reduce would break the sync invariant).
   double max_grad_norm = 0.0;
   /// Gradient-bucket cap for the overlapped communication path (DDP
   /// bucketed all-reduce / ZeRO bucketed reduce-scatter + all-gather),
@@ -125,9 +126,9 @@ struct DistTrainReport {
 };
 
 /// Simulated data-parallel training across `num_ranks` replicas, one thread
-/// per rank, samples served from a DDStore shard layout. Replicas are
-/// verified to remain bit-identical after every epoch (the invariant DDP
-/// and ZeRO both guarantee).
+/// per rank, samples served from a DDStore shard layout. Once all ranks
+/// have joined, train() verifies that the replicas are still bit-identical
+/// (the invariant DDP, ZeRO and graph parallelism all guarantee).
 class DistributedTrainer {
  public:
   DistributedTrainer(const ModelConfig& config,

@@ -1,6 +1,7 @@
 #pragma once
 
 #include <cstdint>
+#include <memory>
 #include <optional>
 #include <vector>
 
@@ -18,6 +19,8 @@ namespace sgnn {
 namespace obs {
 class TelemetrySink;
 }  // namespace obs
+
+class GradSync;
 
 /// Hyperparameters of one training run. Defaults follow the paper's setup
 /// (Sec. III-B: hyperparameters from the HydraGNN-GFM study, 10 epochs).
@@ -47,6 +50,7 @@ struct TrainOptions {
 class Trainer {
  public:
   Trainer(EGNNModel& model, const TrainOptions& options);
+  ~Trainer();
 
   struct EpochResult {
     double mean_train_loss = 0;
@@ -93,7 +97,7 @@ class Trainer {
 
   EGNNModel& model_;
   TrainOptions options_;
-  Adam optimizer_;
+  std::unique_ptr<GradSync> sync_;  ///< the local case: clip + plain Adam
   LossScaler loss_scaler_;
   EnergyBaseline baseline_;
   bool use_baseline_ = false;

@@ -5,66 +5,23 @@
 #include <exception>
 #include <numeric>
 #include <optional>
+#include <string>
 #include <thread>
 
 #include "sgnn/graph/batch.hpp"
 #include "sgnn/graph/partition.hpp"
 #include "sgnn/nn/model_io.hpp"
-#include "sgnn/obs/prof.hpp"
 #include "sgnn/obs/telemetry.hpp"
 #include "sgnn/obs/trace.hpp"
 #include "sgnn/tensor/kernels.hpp"
-#include "sgnn/tensor/ops.hpp"
 #include "sgnn/train/halo.hpp"
-#include "sgnn/train/schedule.hpp"
-#include "sgnn/train/zero.hpp"
 #include "sgnn/util/error.hpp"
 #include "sgnn/util/logging.hpp"
 #include "sgnn/util/rng.hpp"
 #include "sgnn/util/timer.hpp"
+#include "step.hpp"
 
 namespace sgnn {
-
-namespace {
-
-/// Restores a flat optimizer-state section into a moment tensor.
-void restore_tensor(const std::vector<real>& flat, Tensor& dst) {
-  SGNN_CHECK(static_cast<std::int64_t>(flat.size()) == dst.numel(),
-             "optimizer-state section holds " << flat.size()
-                                              << " values, tensor expects "
-                                              << dst.numel());
-  std::copy(flat.begin(), flat.end(), dst.data());
-}
-
-/// Flattens a plain Adam's per-parameter moment list into one contiguous
-/// checkpoint section, in parameter order.
-std::vector<real> flatten_moments(const std::vector<Tensor>& moments) {
-  std::vector<real> flat;
-  for (const Tensor& t : moments) {
-    flat.insert(flat.end(), t.data(), t.data() + t.numel());
-  }
-  return flat;
-}
-
-/// Restores a flattened moment section back into per-parameter tensors.
-void restore_moments(const std::vector<real>& flat,
-                     std::vector<Tensor>& moments) {
-  std::size_t offset = 0;
-  for (Tensor& t : moments) {
-    const auto count = static_cast<std::size_t>(t.numel());
-    SGNN_CHECK(offset + count <= flat.size(),
-               "optimizer-state section is too short: needs more than "
-                   << flat.size() << " values");
-    std::copy_n(flat.data() + offset, count, t.data());
-    offset += count;
-  }
-  SGNN_CHECK(offset == flat.size(),
-             "optimizer-state section holds "
-                 << flat.size() << " values, the moment list expects "
-                 << offset);
-}
-
-}  // namespace
 
 const char* dist_strategy_name(DistStrategy strategy) {
   switch (strategy) {
@@ -112,13 +69,15 @@ DistTrainReport DistributedTrainer::train(const DDStore& store) {
              "DDStore was sharded for " << store.num_ranks() << " ranks, "
                                         << "trainer has " << R);
   SGNN_CHECK(store.size() >= R, "fewer samples than ranks");
+  SGNN_CHECK(options_.per_rank_batch_size > 0,
+             "per_rank_batch_size must be positive, got "
+                 << options_.per_rank_batch_size);
 
   const bool gp = options_.graph_parallel;
   if (gp) {
-    // The bit-identity proof (docs/graph-parallelism.md) covers the kDDP
-    // layout with replicated plain-Adam state, float64 compute, and no
-    // gradient clipping; anything else fails loudly instead of silently
-    // breaking the parity contract.
+    // The bit-identity proof (docs/graph-parallelism.md) covers replicated
+    // plain-Adam state and float64 compute; anything else fails loudly
+    // instead of silently breaking the parity contract.
     SGNN_CHECK(options_.strategy == DistStrategy::kDDP,
                "graph_parallel requires the kDDP strategy (ZeRO shards "
                "optimizer state; graph-parallel ranks replicate it)");
@@ -126,38 +85,18 @@ DistTrainReport DistributedTrainer::train(const DDStore& store) {
                    kernels::ComputeDtype::kFloat64,
                "graph_parallel bit-identity is proven for float64 compute "
                "only");
-    SGNN_CHECK(options_.max_grad_norm == 0.0,
-               "graph_parallel does not support gradient clipping");
   }
 
   Communicator comm(R);
   MemoryTracker::instance().reset_peak();
 
-  // Per-rank optimizers (constructed up front so optimizer-state memory is
-  // part of the profile from step zero, as in a real framework). The
-  // graph-parallel mode uses PLAIN per-rank Adam: its gradients are already
-  // replicated exactly, and a DDP all-reduce-then-average of R identical
-  // gradients is NOT a bitwise no-op (g + g + g rounds), so averaging would
-  // break the parity contract.
-  std::vector<std::unique_ptr<DDPAdam>> ddp;
-  std::vector<std::unique_ptr<ZeroAdam>> zero;
-  std::vector<std::unique_ptr<Adam>> gpadam;
+  // Per-rank gradient sync (constructed up front so optimizer-state memory
+  // is part of the profile from step zero, as in a real framework).
+  std::vector<std::unique_ptr<GradSync>> syncs;
   for (int r = 0; r < R; ++r) {
-    auto params = replicas_[static_cast<std::size_t>(r)]->parameters();
-    if (gp) {
-      gpadam.push_back(
-          std::make_unique<Adam>(std::move(params), options_.adam));
-    } else if (options_.strategy == DistStrategy::kDDP) {
-      ddp.push_back(std::make_unique<DDPAdam>(comm, std::move(params),
-                                              options_.adam,
-                                              options_.bucket_bytes));
-      ddp.back()->set_max_grad_norm(options_.max_grad_norm);
-    } else {
-      zero.push_back(std::make_unique<ZeroAdam>(comm, std::move(params),
-                                                options_.adam, /*stage=*/1,
-                                                options_.bucket_bytes));
-      zero.back()->set_max_grad_norm(options_.max_grad_norm);
-    }
+    syncs.push_back(GradSync::for_rank(
+        comm, r, replicas_[static_cast<std::size_t>(r)]->parameters(),
+        options_));
   }
 
   // Steps per epoch: every rank must execute the same number of collective
@@ -184,6 +123,10 @@ DistTrainReport DistributedTrainer::train(const DDStore& store) {
   std::int64_t start_step = 0;
   std::int64_t start_counted = 0;
   Rng initial_sampler(options_.sampler_seed);
+  // Graph-parallel runs write a distinct kind: their optimizer layout
+  // (flattened plain-Adam moments) is not interchangeable with the DDP/ZeRO
+  // sections, so cross-mode resumes fail loudly.
+  const std::string kind = gp ? "dist.gpar" : "dist";
   if (!copt.resume_from.empty()) {
     const auto loaded = ckpt::CheckpointManager::load_latest(copt.resume_from);
     if (!loaded) {
@@ -191,11 +134,7 @@ DistTrainReport DistributedTrainer::train(const DDStore& store) {
                     << "'; starting fresh";
     } else {
       const ckpt::SnapshotView view(loaded->payload);
-      // Graph-parallel runs write a distinct kind: their optimizer layout
-      // (flattened plain-Adam moments) is not interchangeable with the
-      // DDP/ZeRO sections, so cross-mode resumes fail here, loudly.
-      const std::string expected_kind = gp ? "dist.gpar" : "dist";
-      SGNN_CHECK(view.bytes("meta.kind") == expected_kind,
+      SGNN_CHECK(view.bytes("meta.kind") == kind,
                  "snapshot '" << loaded->path << "' is not a "
                               << (gp ? "graph-parallel" : "data-parallel")
                               << " distributed checkpoint");
@@ -210,31 +149,8 @@ DistTrainReport DistributedTrainer::train(const DDStore& store) {
         replicas_[static_cast<std::size_t>(r)]->copy_parameters_from(
             *replicas_.front());
       }
-      const std::int64_t timestep = view.i64("optim.timestep");
-      const double lr = view.f64("optim.lr");
       for (int r = 0; r < R; ++r) {
-        const auto rr = static_cast<std::size_t>(r);
-        if (gp) {
-          // Replicated plain-Adam state: every rank restores the same
-          // flattened moments, unpacked back into per-parameter tensors.
-          restore_moments(view.reals("optim.m"), gpadam[rr]->moment1());
-          restore_moments(view.reals("optim.v"), gpadam[rr]->moment2());
-          gpadam[rr]->set_timestep(timestep);
-          gpadam[rr]->set_learning_rate(lr);
-        } else if (options_.strategy == DistStrategy::kDDP) {
-          // Replicated Adam state: every rank restores the same moments.
-          restore_tensor(view.reals("optim.m"), ddp[rr]->moment1());
-          restore_tensor(view.reals("optim.v"), ddp[rr]->moment2());
-          ddp[rr]->set_timestep(timestep);
-          ddp[rr]->set_learning_rate(lr);
-        } else {
-          // Sharded Adam state: rank r restores only its own shard.
-          const std::string suffix = "." + std::to_string(r);
-          restore_tensor(view.reals("optim.m" + suffix), zero[rr]->moment1());
-          restore_tensor(view.reals("optim.v" + suffix), zero[rr]->moment2());
-          zero[rr]->set_timestep(timestep);
-          zero[rr]->set_learning_rate(lr);
-        }
+        syncs[static_cast<std::size_t>(r)]->load(view, r);
       }
       initial_sampler.set_state(
           ckpt::pod_from_bytes<Rng::State>(view.bytes("sampler.rng")));
@@ -250,15 +166,9 @@ DistTrainReport DistributedTrainer::train(const DDStore& store) {
 
   std::vector<double> rank_loss(static_cast<std::size_t>(R), 0.0);
   std::vector<double> rank_seconds(static_cast<std::size_t>(R), 0.0);
-  // Overlap accounting, written only by the rank-0 worker (the thread join
-  // below publishes it to this thread).
-  double exposed_seconds_total = 0;
-  double overlapped_seconds_total = 0;
-  std::int64_t buckets_total = 0;
-  std::uint64_t halo_bytes_total = 0;
-  std::int64_t halo_exchanges_total = 0;
-  double halo_exposed_total = 0;
-  double halo_overlapped_total = 0;
+  // The report's overlap and halo sums are written only by the rank-0
+  // worker (the thread join below publishes them to this thread).
+  DistTrainReport report;
 
   const auto worker = [&](int rank) {
     const auto ri = static_cast<std::size_t>(rank);
@@ -266,9 +176,13 @@ DistTrainReport DistributedTrainer::train(const DDStore& store) {
     // exported trace renders one timeline per simulated GPU.
     const obs::ScopedTraceRank trace_rank(rank);
     EGNNModel& model = *replicas_[ri];
-    EGNNModel::ForwardOptions forward_options;
-    forward_options.activation_checkpointing =
+    GradSync& sync = *syncs[ri];
+    TrainStep::Config config;
+    config.forward.activation_checkpointing =
         options_.activation_checkpointing;
+    config.loss_weights = options_.loss_weights;
+    config.schedule = options_.schedule ? &*options_.schedule : nullptr;
+    config.want_grad_norm = options_.telemetry != nullptr;
     Rng sampler(options_.sampler_seed);
     sampler.set_state(sampler_start);  // identical on every rank
     const WallTimer timer;
@@ -276,25 +190,18 @@ DistTrainReport DistributedTrainer::train(const DDStore& store) {
     std::int64_t counted_steps = start_counted;
     std::int64_t local_steps = 0;
 
-    GradBucketer* const bucketer =
-        gp ? nullptr
-           : (options_.strategy == DistStrategy::kDDP ? ddp[ri]->bucketer()
-                                                      : zero[ri]->bucketer());
-    if (!gp && copt.crash_in_overlap_step > 0) {
-      // Crash-during-overlap fault injection: fires inside the optimizer
-      // step, after every bucket is posted and before any drain. All ranks
-      // run the same step count, so every rank throws together and the
-      // progress engine can still complete the (symmetric) posted ops.
-      const auto crash_in_overlap = [&counted_steps, &copt] {
-        if (counted_steps + 1 == copt.crash_in_overlap_step) {
-          throw ckpt::SimulatedCrash(counted_steps);
-        }
-      };
-      if (options_.strategy == DistStrategy::kDDP) {
-        ddp[ri]->set_pre_drain_hook(crash_in_overlap);
-      } else {
-        zero[ri]->set_pre_drain_hook(crash_in_overlap);
+    // Crash-during-overlap fault injection: fires after every collective
+    // of the window is posted and before the first wait — inside the
+    // optimizer step's bucket drain, or inside the halo-exchange window
+    // under graph parallelism. All ranks run the same step count, so every
+    // rank throws together and the posted (symmetric) ops still complete.
+    const auto crash_in_overlap = [&counted_steps, &copt] {
+      if (counted_steps + 1 == copt.crash_in_overlap_step) {
+        throw ckpt::SimulatedCrash(counted_steps);
       }
+    };
+    if (copt.crash_in_overlap_step > 0) {
+      sync.set_pre_drain_hook(crash_in_overlap);
     }
 
     for (std::int64_t epoch = start_epoch; epoch < options_.epochs; ++epoch) {
@@ -313,13 +220,10 @@ DistTrainReport DistributedTrainer::train(const DDStore& store) {
 
       const std::int64_t first_step = epoch == start_epoch ? start_step : 0;
       for (std::int64_t step = first_step; step < steps_per_epoch; ++step) {
-        const WallTimer step_timer;
-        // Kernel-profile snapshot, rank 0 only: prof::totals() aggregates
-        // across every rank thread, so the per-step delta is process-wide
-        // (all R ranks' kernels), mirroring the comm accounting below.
-        const obs::prof::Totals prof_before =
-            rank == 0 ? obs::prof::totals() : obs::prof::Totals{};
-        const obs::prof::ProfRegion step_region("train_step");
+        // Kernel totals on rank 0 only: prof::totals() aggregates across
+        // every rank thread, so the per-step delta is process-wide (all R
+        // ranks' kernels), mirroring the comm accounting below.
+        TrainStep train_step(/*kernel_totals=*/rank == 0);
         std::vector<const MolecularGraph*> samples;
         {
           const obs::TraceSpan span("fetch_batch", "data");
@@ -335,134 +239,34 @@ DistTrainReport DistributedTrainer::train(const DDStore& store) {
         }
         const GraphBatch batch = GraphBatch::from_graphs(samples);
 
-        if (gp) {
-          gpadam[ri]->zero_grad();
-        } else if (options_.strategy == DistStrategy::kDDP) {
-          ddp[ri]->zero_grad();
-        } else {
-          zero[ri]->zero_grad();
-        }
-
         // Graph-parallel: partition the shared batch and stand up this
         // step's halo exchanger. Its buffers belong to in-flight
         // collectives, so it must outlive backward — it lives to the end
         // of the step iteration.
         std::optional<gpar::GraphPartition> partition;
         std::optional<gpar::HaloExchanger> halo;
-        // The halo collectives post during FORWARD, so the graph-parallel
-        // traffic snapshot sits ahead of it; the replicated strategies
-        // snapshot after forward instead (see the comment below).
-        Communicator::Traffic traffic_before;
         if (gp) {
           partition.emplace(gpar::GraphPartition::build(batch, R));
           halo.emplace(comm, rank, *partition, batch);
-          forward_options.graph_parallel = &*halo;
+          config.forward.graph_parallel = &*halo;
           if (copt.crash_in_overlap_step > 0) {
-            // Crash INSIDE the halo-exchange window: fires after the
-            // boundary gathers are posted and before the first wait. All
-            // ranks run the same step count, so every rank throws together
-            // and the exchanger destructors drain the symmetric posted ops.
-            halo->set_pre_wait_hook([&counted_steps, &copt] {
-              if (counted_steps + 1 == copt.crash_in_overlap_step) {
-                throw ckpt::SimulatedCrash(counted_steps);
-              }
-            });
-          }
-          if (rank == 0) traffic_before = comm.traffic();
-        }
-        double step_loss = 0;
-        Tensor total;
-        {
-          const obs::TraceSpan span("forward", "train");
-          const obs::prof::ProfRegion region("forward");
-          const ScopedTrainPhase phase(TrainPhase::kForward);
-          const auto out = model.forward(batch, forward_options);
-          const LossTerms terms =
-              multitask_loss(out, batch, options_.loss_weights);
-          step_loss = terms.total.item();
-          loss_sum += step_loss;
-          total = terms.total;
-        }
-        // Collective payload attributed to this step. The replicated
-        // strategies snapshot here — BEFORE backward — because the
-        // overlapped path posts (and the progress engine counts) bucket
-        // collectives mid-backward; the drain inside the optimizer step
-        // completes before the closing snapshot, so the delta captures
-        // every bucket exactly once. The counters are updated once per
-        // collective (by rank 0 or the engine), so the delta is exact on
-        // rank 0 and reported 0 elsewhere.
-        if (rank == 0 && !gp) traffic_before = comm.traffic();
-        {
-          const obs::TraceSpan span("backward", "train");
-          const obs::prof::ProfRegion region("backward");
-          const ScopedTrainPhase phase(TrainPhase::kBackward);
-          // Arm the bucketer and observe leaf-gradient completion: each
-          // bucket's collective is posted the moment its last gradient is
-          // produced, overlapping communication with the rest of backward.
-          std::optional<autograd::ScopedLeafGradHook> grad_hook;
-          if (bucketer != nullptr) {
-            bucketer->begin_step(rank);
-            grad_hook.emplace(
-                [bucketer](const void* leaf) { bucketer->on_leaf_grad(leaf); });
-          }
-          total.backward();
-        }
-        double grad_norm = 0;
-        {
-          const obs::TraceSpan span("optimizer", "train");
-          const obs::prof::ProfRegion region("optimizer");
-          const ScopedTrainPhase phase(TrainPhase::kOptimizer);
-          if (options_.telemetry != nullptr) {
-            grad_norm = grad_l2_norm(model.parameters());
-          }
-          if (options_.schedule) {
-            // Pure function of the global step, so replicas agree for free.
-            const double lr = options_.schedule->at_step(counted_steps);
-            if (gp) {
-              gpadam[ri]->set_learning_rate(lr);
-            } else if (options_.strategy == DistStrategy::kDDP) {
-              ddp[ri]->set_learning_rate(lr);
-            } else {
-              zero[ri]->set_learning_rate(lr);
-            }
-          }
-          if (gp) {
-            // No gradient collective at all: the halo exchanges already
-            // left every rank holding the exact replicated gradient, so a
-            // plain local Adam update keeps the replicas bit-identical.
-            gpadam[ri]->step();
-          } else if (options_.strategy == DistStrategy::kDDP) {
-            ddp[ri]->step(rank);
-          } else {
-            zero[ri]->step(rank);
+            halo->set_pre_wait_hook(crash_in_overlap);
           }
         }
-
-        obs::StepTelemetry telemetry;
-        telemetry.step = counted_steps;
+        // Collective payload attributed to this step. The counters are
+        // updated once per collective (by rank 0 or the progress engine,
+        // which runs an op only after rank 0 posted it), and rank 0 posts
+        // this step's first collective inside run() — a halo gather in
+        // forward or a bucket in backward — after the previous step's were
+        // all drained. So the delta is exact on rank 0 (reported 0
+        // elsewhere).
+        Communicator::Traffic traffic_before;
+        if (rank == 0) traffic_before = comm.traffic();
+        obs::StepTelemetry telemetry =
+            train_step.run(model, sync, batch, counted_steps, config);
+        loss_sum += telemetry.loss;
         telemetry.epoch = epoch;
         telemetry.rank = rank;
-        telemetry.loss = step_loss;
-        telemetry.grad_norm = grad_norm;
-        // The EFFECTIVE learning rate this step used (schedule- and
-        // resume-aware), not the base configuration value.
-        telemetry.learning_rate =
-            gp ? gpadam[ri]->learning_rate()
-               : (options_.strategy == DistStrategy::kDDP
-                      ? ddp[ri]->learning_rate()
-                      : zero[ri]->learning_rate());
-        telemetry.batch_graphs = batch.num_graphs;
-        telemetry.batch_atoms = batch.num_nodes;
-        telemetry.batch_edges = batch.num_edges;
-        telemetry.step_seconds = step_timer.seconds();
-        if (telemetry.step_seconds > 0) {
-          telemetry.atoms_per_sec =
-              static_cast<double>(telemetry.batch_atoms) /
-              telemetry.step_seconds;
-          telemetry.graphs_per_sec =
-              static_cast<double>(telemetry.batch_graphs) /
-              telemetry.step_seconds;
-        }
         if (rank == 0) {
           // One formula for per-step and aggregate accounting: the modeled
           // time of the step's traffic delta. seconds() is additive over
@@ -470,73 +274,46 @@ DistTrainReport DistributedTrainer::train(const DDStore& store) {
           // comm_seconds in the final report (no double-counted latency).
           const Communicator::Traffic delta =
               comm.traffic().since(traffic_before);
+          const double modeled = interconnect_.seconds(delta, R);
           telemetry.collective_bytes = delta.total_bytes();
-          telemetry.comm_seconds_modeled = interconnect_.seconds(delta, R);
-          if (gp) {
-            // Every collective this step is halo traffic. Price its
-            // overlap from the exchanger's post/wait stamps: the boundary
-            // gathers count as whatever the distance/RBF compute window
-            // actually hid, the blocking exchanges (ghost gradients,
-            // readout replication, ring folds) as fully exposed.
-            const auto cost =
-                interconnect_.overlap_cost(halo->take_events(), R);
-            const double exposed = std::min(
-                telemetry.comm_seconds_modeled,
-                cost.exposed_seconds +
-                    std::max(0.0, telemetry.comm_seconds_modeled -
-                                      cost.total_seconds));
-            telemetry.comm_exposed_seconds = exposed;
-            telemetry.comm_overlapped_seconds =
-                telemetry.comm_seconds_modeled - exposed;
-            telemetry.comm_buckets = 0;
+          telemetry.comm_seconds_modeled = modeled;
+          // Price the overlap from the post/wait stamps of the halo
+          // exchanger (the boundary gathers count as whatever the
+          // distance/RBF window hid) or of the bucketer. Collectives
+          // outside them — ghost gradients, readout replication, ring
+          // folds, the ZeRO clip's scalar all-reduce, the whole sequential
+          // path — are blocking and count as fully exposed:
+          // exposed = overlap-priced exposure + (delta - event total).
+          GradBucketer* const bucketer = sync.bucketer();
+          std::vector<InterconnectModel::OverlapEvent> events;
+          if (halo) {
+            events = halo->take_events();
+          } else if (bucketer != nullptr) {
+            events = bucketer->take_events();
+          }
+          const auto cost = interconnect_.overlap_cost(events, R);
+          const double exposed =
+              std::min(modeled, cost.exposed_seconds +
+                                    std::max(0.0, modeled - cost.total_seconds));
+          telemetry.comm_exposed_seconds = exposed;
+          telemetry.comm_overlapped_seconds = modeled - exposed;
+          telemetry.comm_buckets = bucketer != nullptr ? cost.ops : 0;
+          if (halo) {
             telemetry.halo_bytes = halo->halo_bytes();
             telemetry.halo_exchanges = halo->exchanges();
             telemetry.halo_exposed_seconds = exposed;
             telemetry.halo_overlapped_seconds =
                 telemetry.comm_overlapped_seconds;
-            halo_bytes_total += telemetry.halo_bytes;
-            halo_exchanges_total += telemetry.halo_exchanges;
-            halo_exposed_total += telemetry.halo_exposed_seconds;
-            halo_overlapped_total += telemetry.halo_overlapped_seconds;
-          } else if (bucketer != nullptr) {
-            // Price the overlap honestly from the bucketer's post/wait
-            // stamps. Collectives outside the bucketer (the ZeRO clip's
-            // scalar all-reduce) are blocking and count as fully exposed:
-            // exposed = overlap-priced exposure + (delta - event total).
-            const auto cost =
-                interconnect_.overlap_cost(bucketer->take_events(), R);
-            const double exposed = std::min(
-                telemetry.comm_seconds_modeled,
-                cost.exposed_seconds +
-                    std::max(0.0, telemetry.comm_seconds_modeled -
-                                      cost.total_seconds));
-            telemetry.comm_exposed_seconds = exposed;
-            telemetry.comm_overlapped_seconds =
-                telemetry.comm_seconds_modeled - exposed;
-            telemetry.comm_buckets = cost.ops;
-          } else {
-            // Sequential blocking path: every modeled second is exposed.
-            telemetry.comm_exposed_seconds = telemetry.comm_seconds_modeled;
-            telemetry.comm_overlapped_seconds = 0;
-            telemetry.comm_buckets = 0;
+            report.halo_bytes += telemetry.halo_bytes;
+            report.halo_exchanges += telemetry.halo_exchanges;
+            report.halo_exposed_seconds += telemetry.halo_exposed_seconds;
+            report.halo_overlapped_seconds +=
+                telemetry.halo_overlapped_seconds;
           }
-          exposed_seconds_total += telemetry.comm_exposed_seconds;
-          overlapped_seconds_total += telemetry.comm_overlapped_seconds;
-          buckets_total += telemetry.comm_buckets;
+          report.comm_exposed_seconds += telemetry.comm_exposed_seconds;
+          report.comm_overlapped_seconds += telemetry.comm_overlapped_seconds;
+          report.comm_buckets += telemetry.comm_buckets;
         }
-        telemetry.live_bytes = MemoryTracker::instance().live().total();
-        telemetry.peak_bytes = MemoryTracker::instance().peak_total();
-        if (rank == 0) {
-          const obs::prof::Totals prof_after = obs::prof::totals();
-          telemetry.kernel_seconds =
-              prof_after.kernel_seconds - prof_before.kernel_seconds;
-          telemetry.kernel_flops = prof_after.flops - prof_before.flops;
-          telemetry.kernel_bytes = prof_after.bytes - prof_before.bytes;
-        }
-        telemetry.kernel_backend =
-            kernels::backend_name(kernels::active_backend());
-        telemetry.compute_dtype =
-            kernels::dtype_name(kernels::active_compute_dtype());
         obs::record_step_metrics(telemetry);
         if (options_.telemetry != nullptr) {
           options_.telemetry->on_step(telemetry);
@@ -554,7 +331,7 @@ DistTrainReport DistributedTrainer::train(const DDStore& store) {
           if (rank == 0) {
             const bool epoch_done = step + 1 == steps_per_epoch;
             ckpt::SnapshotBuilder builder;
-            builder.add_bytes("meta.kind", gp ? "dist.gpar" : "dist");
+            builder.add_bytes("meta.kind", kind);
             builder.add_i64("meta.ranks", R);
             builder.add_i64("meta.strategy",
                             static_cast<std::int64_t>(options_.strategy));
@@ -567,41 +344,7 @@ DistTrainReport DistributedTrainer::train(const DDStore& store) {
             const Rng::State resume_rng =
                 epoch_done ? sampler.state() : epoch_start_state;
             builder.add_bytes("sampler.rng", ckpt::pod_bytes(resume_rng));
-            if (gp) {
-              // Replicated plain-Adam state: rank 0's flattened moments
-              // stand for every rank (the parity invariant keeps them
-              // bitwise equal).
-              builder.add_i64("optim.timestep", gpadam[ri]->timestep());
-              builder.add_f64("optim.lr", gpadam[ri]->learning_rate());
-              const std::vector<real> m =
-                  flatten_moments(gpadam[ri]->moment1());
-              const std::vector<real> v =
-                  flatten_moments(gpadam[ri]->moment2());
-              builder.add_reals("optim.m", m.data(), m.size());
-              builder.add_reals("optim.v", v.data(), v.size());
-            } else if (options_.strategy == DistStrategy::kDDP) {
-              builder.add_i64("optim.timestep", ddp[ri]->timestep());
-              builder.add_f64("optim.lr", ddp[ri]->learning_rate());
-              const Tensor& m = ddp[ri]->moment1();
-              const Tensor& v = ddp[ri]->moment2();
-              builder.add_reals("optim.m", m.data(),
-                                static_cast<std::size_t>(m.numel()));
-              builder.add_reals("optim.v", v.data(),
-                                static_cast<std::size_t>(v.numel()));
-            } else {
-              builder.add_i64("optim.timestep", zero[ri]->timestep());
-              builder.add_f64("optim.lr", zero[ri]->learning_rate());
-              for (int r = 0; r < R; ++r) {
-                const auto rr = static_cast<std::size_t>(r);
-                const std::string suffix = "." + std::to_string(r);
-                const Tensor& m = zero[rr]->moment1();
-                const Tensor& v = zero[rr]->moment2();
-                builder.add_reals("optim.m" + suffix, m.data(),
-                                  static_cast<std::size_t>(m.numel()));
-                builder.add_reals("optim.v" + suffix, v.data(),
-                                  static_cast<std::size_t>(v.numel()));
-              }
-            }
+            GradSync::save(builder, syncs);
             manager->save(static_cast<std::uint64_t>(counted_steps),
                           builder.payload());
           }
@@ -646,7 +389,6 @@ DistTrainReport DistributedTrainer::train(const DDStore& store) {
   SGNN_CHECK(replica_divergence() == 0.0,
              "replicas diverged — gradient synchronization is broken");
 
-  DistTrainReport report;
   report.steps = options_.epochs * steps_per_epoch;
   report.final_train_loss =
       std::accumulate(rank_loss.begin(), rank_loss.end(), 0.0) / R;
@@ -670,13 +412,6 @@ DistTrainReport DistributedTrainer::train(const DDStore& store) {
   // values (the old code charged latency both inside the bandwidth terms
   // and again per call, double-counting it).
   report.comm_seconds = interconnect_.seconds(report.collective_traffic, R);
-  report.comm_exposed_seconds = exposed_seconds_total;
-  report.comm_overlapped_seconds = overlapped_seconds_total;
-  report.comm_buckets = buckets_total;
-  report.halo_bytes = halo_bytes_total;
-  report.halo_exchanges = halo_exchanges_total;
-  report.halo_exposed_seconds = halo_exposed_total;
-  report.halo_overlapped_seconds = halo_overlapped_total;
   return report;
 }
 

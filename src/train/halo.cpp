@@ -4,7 +4,6 @@
 
 #include "sgnn/obs/metrics.hpp"
 #include "sgnn/obs/prof.hpp"
-#include "sgnn/tensor/memory_tracker.hpp"
 #include "sgnn/util/error.hpp"
 
 namespace sgnn::gpar {
@@ -41,19 +40,8 @@ HaloExchanger::HaloExchanger(Communicator& comm, int rank,
 
   // Every in-edge of an owned node lives in this rank's slice, so the
   // local degree count IS the global one (integer counts — exact).
-  const ScopedMemCategory scope(MemCategory::kWorkspace);
-  Tensor inv_degree = Tensor::zeros(Shape{owned, 1});
-  real* d = inv_degree.data();
-  for (const auto dst : mine_.local_dst) d[dst] += 1;
-  for (std::int64_t i = 0; i < owned; ++i) {
-    d[i] = real{1} / std::max(d[i], real{1});
-  }
-
-  context_.edge_src = &mine_.local_src;
-  context_.edge_dst = &mine_.local_dst;
-  context_.edge_shift = shift;
-  context_.inv_degree = inv_degree;
-  context_.num_nodes = owned;
+  context_ = EGNNLayer::EdgeContext::build(mine_.local_src, mine_.local_dst,
+                                           shift, owned);
   context_.halo = this;
 }
 
@@ -423,7 +411,24 @@ Tensor HaloExchanger::matmul_weight_grad(const Tensor& a, const Tensor& grad) {
     for (std::int64_t p = 0; p < m; ++p) {
       const real* arow = pa + p * k;
       const real* grow = pg + p * n;
-      for (std::int64_t i = 0; i < k; ++i) {
+      // Four rows of C per pass share each grow load, which also keeps the
+      // loop's speed from hinging on its code alignment (a one-row loop ran
+      // ~35% slower after a 16-byte shift). Every element still takes one
+      // mul+add per p, in ascending p, so the blocking changes no bit.
+      std::int64_t i = 0;
+      for (; i + 4 <= k; i += 4) {
+        const real a0 = arow[i], a1 = arow[i + 1];
+        const real a2 = arow[i + 2], a3 = arow[i + 3];
+        real* cr = c + i * n;
+        for (std::int64_t j = 0; j < n; ++j) {
+          const real g = grow[j];
+          cr[j] += a0 * g;
+          cr[n + j] += a1 * g;
+          cr[2 * n + j] += a2 * g;
+          cr[3 * n + j] += a3 * g;
+        }
+      }
+      for (; i < k; ++i) {
         const real av = arow[i];
         real* crow = c + i * n;
         for (std::int64_t j = 0; j < n; ++j) crow[j] += av * grow[j];

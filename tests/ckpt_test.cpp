@@ -2,10 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
+#include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "sgnn/data/dataset.hpp"
@@ -581,6 +584,151 @@ TEST(DistributedResumeTest, TrainerSnapshotIsRejectedByDistributedTrainer) {
   options.checkpoint.resume_from = dir.path();
   DistributedTrainer trainer(config, options);
   EXPECT_THROW(trainer.train(store), Error);
+}
+
+// -- snapshot layout pins ------------------------------------------------------
+//
+// The resume tests above would still pass if save and load renamed a section
+// together; these pin the on-disk layout of each snapshot kind (section set,
+// meta values, moment sizes, model payload) after a run that checkpoints on
+// its last step.
+
+/// Section names of a payload, in stored (name) order: u64 count, then per
+/// section u64 name size, name, u64 data size, data.
+std::vector<std::string> section_names(const std::string& payload) {
+  std::size_t cursor = 0;
+  const auto take_u64 = [&] {
+    std::uint64_t value = 0;
+    if (cursor + sizeof(value) > payload.size()) return std::size_t{0};
+    std::memcpy(&value, payload.data() + cursor, sizeof(value));
+    cursor += sizeof(value);
+    return static_cast<std::size_t>(value);
+  };
+  std::vector<std::string> names(take_u64());
+  for (auto& name : names) {
+    const std::size_t size = take_u64();
+    name = payload.substr(cursor, size);
+    cursor += size;
+    cursor += take_u64();
+  }
+  EXPECT_EQ(cursor, payload.size());
+  return names;
+}
+
+TEST(SnapshotLayoutTest, TrainerSnapshotLayoutIsPinned) {
+  const auto& dataset = tiny_dataset();
+  const auto split = dataset.split(0.25, 5);
+  ModelConfig config;
+  config.hidden_dim = 10;
+  config.num_layers = 2;
+  EGNNModel model(config);
+  TempDir dir("sgnn_trainer_layout_test");
+  TrainOptions options;
+  options.epochs = 1;
+  options.batch_size = 4;
+  options.adam.learning_rate = 2e-3;
+  DataLoader loader(dataset.view(split.train), options.batch_size, 11);
+  const std::int64_t steps = loader.num_batches();
+  options.checkpoint.every_steps = steps;
+  options.checkpoint.directory = dir.path();
+  Trainer trainer(model, options);
+  trainer.fit(loader);
+
+  const auto loaded = ckpt::CheckpointManager::load_latest(dir.path());
+  ASSERT_TRUE(loaded.has_value());
+  EXPECT_EQ(loaded->step, static_cast<std::uint64_t>(steps));
+  const ckpt::SnapshotView view(loaded->payload);
+  EXPECT_EQ(section_names(loaded->payload),
+            (std::vector<std::string>{"loader.cursor", "loader.order",
+                                      "loader.rng", "meta.epoch", "meta.kind",
+                                      "meta.step", "model", "optim.lr",
+                                      "optim.m", "optim.timestep", "optim.v"}));
+  EXPECT_EQ(view.bytes("meta.kind"), "trainer");
+  EXPECT_EQ(view.i64("meta.step"), steps);
+  EXPECT_EQ(view.i64("meta.epoch"), 0);
+  EXPECT_EQ(view.i64("optim.timestep"), steps);
+  EXPECT_EQ(view.f64("optim.lr"), 2e-3);
+  const auto params = static_cast<std::size_t>(model.num_parameters());
+  EXPECT_EQ(view.reals("optim.m").size(), params);
+  EXPECT_EQ(view.reals("optim.v").size(), params);
+  EXPECT_EQ(view.bytes("model"), model_payload_bytes(trainer.model()));
+}
+
+/// Runs one epoch of a 2-rank distributed run that checkpoints on its last
+/// step and checks the snapshot it left; `optim_names` are the moment
+/// sections the kind writes.
+void check_dist_layout(DistStrategy strategy, bool graph_parallel,
+                       const std::vector<std::string>& optim_names) {
+  DDStore store(2);
+  store.insert(tiny_dataset().graphs());
+  ModelConfig config;
+  config.hidden_dim = 10;
+  config.num_layers = 2;
+  DistTrainOptions options;
+  options.num_ranks = 2;
+  options.epochs = 1;
+  options.per_rank_batch_size = 4;
+  options.strategy = strategy;
+  options.graph_parallel = graph_parallel;
+  const std::int64_t steps =
+      store.size() / (graph_parallel ? 4 : 2 * 4);
+  TempDir dir("sgnn_dist_layout_test");
+  options.checkpoint.every_steps = steps;
+  options.checkpoint.directory = dir.path();
+  DistributedTrainer trainer(config, options);
+  trainer.train(store);
+
+  const auto loaded = ckpt::CheckpointManager::load_latest(dir.path());
+  ASSERT_TRUE(loaded.has_value());
+  EXPECT_EQ(loaded->step, static_cast<std::uint64_t>(steps));
+  const ckpt::SnapshotView view(loaded->payload);
+  std::vector<std::string> expected = {
+      "meta.epoch", "meta.epoch_step", "meta.kind",      "meta.ranks",
+      "meta.step",  "meta.strategy",   "model",          "optim.lr",
+      "optim.timestep", "sampler.rng"};
+  expected.insert(expected.end(), optim_names.begin(), optim_names.end());
+  std::sort(expected.begin(), expected.end());
+  EXPECT_EQ(section_names(loaded->payload), expected);
+  EXPECT_EQ(view.bytes("meta.kind"), graph_parallel ? "dist.gpar" : "dist");
+  EXPECT_EQ(view.i64("meta.ranks"), 2);
+  EXPECT_EQ(view.i64("meta.strategy"), static_cast<std::int64_t>(strategy));
+  EXPECT_EQ(view.i64("meta.step"), steps);
+  EXPECT_EQ(view.i64("meta.epoch"), 1);
+  EXPECT_EQ(view.i64("meta.epoch_step"), 0);
+  EXPECT_EQ(view.i64("optim.timestep"), steps);
+  EXPECT_EQ(view.f64("optim.lr"), options.adam.learning_rate);
+  EXPECT_EQ(view.bytes("model"), model_payload_bytes(trainer.model()));
+
+  const auto params =
+      static_cast<std::size_t>(trainer.model().num_parameters());
+  if (strategy == DistStrategy::kZeRO1) {
+    // Every rank's moment shard is sized to the largest shard.
+    std::size_t largest = 0;
+    for (int r = 0; r < 2; ++r) {
+      const auto [begin, end] = Communicator::shard_range(params, r, 2);
+      largest = std::max(largest, end - begin);
+    }
+    for (const char* name : {"optim.m.0", "optim.m.1", "optim.v.0",
+                             "optim.v.1"}) {
+      EXPECT_EQ(view.reals(name).size(), largest) << name;
+    }
+  } else {
+    EXPECT_EQ(view.reals("optim.m").size(), params);
+    EXPECT_EQ(view.reals("optim.v").size(), params);
+  }
+}
+
+TEST(SnapshotLayoutTest, DistDdpSnapshotLayoutIsPinned) {
+  check_dist_layout(DistStrategy::kDDP, false, {"optim.m", "optim.v"});
+}
+
+TEST(SnapshotLayoutTest, DistZeroSnapshotLayoutIsPinned) {
+  check_dist_layout(DistStrategy::kZeRO1, false,
+                    {"optim.m.0", "optim.m.1", "optim.v.0", "optim.v.1"});
+}
+
+TEST(SnapshotLayoutTest, GraphParallelSnapshotLayoutIsPinned) {
+  check_dist_layout(DistStrategy::kDDP, true, {"optim.m", "optim.v"});
 }
 
 }  // namespace

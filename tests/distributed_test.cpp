@@ -281,6 +281,22 @@ TEST(DistributedTrainerTest, DDPTrainsAndReplicasStayInSync) {
   EXPECT_GT(report.comm_seconds, 0.0);
 }
 
+TEST(DistributedTrainerTest, RejectsNonPositivePerRankBatchSize) {
+  ModelConfig config;
+  config.hidden_dim = 12;
+  config.num_layers = 2;
+  const auto store = make_store(2);
+  for (const bool graph_parallel : {false, true}) {
+    DistTrainOptions options;
+    options.num_ranks = 2;
+    options.epochs = 1;
+    options.per_rank_batch_size = 0;
+    options.graph_parallel = graph_parallel;
+    DistributedTrainer trainer(config, options);
+    EXPECT_THROW(trainer.train(*store), Error);
+  }
+}
+
 TEST(DistributedTrainerTest, ZeroUsesScatterGatherInsteadOfAllReduce) {
   ModelConfig config;
   config.hidden_dim = 12;

@@ -16,7 +16,9 @@
 
 #include <algorithm>
 #include <memory>
+#include <numeric>
 #include <set>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -27,6 +29,8 @@
 #include "sgnn/train/distributed.hpp"
 #include "sgnn/train/halo.hpp"
 #include "sgnn/train/loss.hpp"
+#include "sgnn/train/optim.hpp"
+#include "sgnn/train/schedule.hpp"
 #include "sgnn/train/zero.hpp"
 #include "sgnn/util/rng.hpp"
 
@@ -436,7 +440,8 @@ TEST(PartitionParityTest, ForwardBackwardIsBitIdenticalToUnpartitioned) {
 std::vector<real> parity_train(int ranks, bool graph_parallel,
                                bool checkpointing,
                                obs::TelemetrySink* sink = nullptr,
-                               DistTrainReport* report_out = nullptr) {
+                               DistTrainReport* report_out = nullptr,
+                               double max_grad_norm = 0.0) {
   ModelConfig config;
   config.hidden_dim = 10;
   config.num_layers = 2;
@@ -447,7 +452,7 @@ std::vector<real> parity_train(int ranks, bool graph_parallel,
   options.strategy = DistStrategy::kDDP;
   options.graph_parallel = graph_parallel;
   options.activation_checkpointing = checkpointing;
-  options.max_grad_norm = 0.0;
+  options.max_grad_norm = max_grad_norm;
   options.bucket_bytes = 0;
   options.telemetry = sink;
   DistributedTrainer trainer(config, options);
@@ -545,14 +550,67 @@ TEST(GraphParallelOptionsTest, UnsupportedCombinationsFailLoudly) {
   zero_opts.strategy = DistStrategy::kZeRO1;
   DistributedTrainer zero_trainer(config, zero_opts);
   EXPECT_THROW(zero_trainer.train(*store), Error);
+}
 
-  DistTrainOptions clip_opts;
-  clip_opts.num_ranks = 2;
-  clip_opts.graph_parallel = true;
-  clip_opts.strategy = DistStrategy::kDDP;
-  clip_opts.max_grad_norm = 1.0;
-  DistributedTrainer clip_trainer(config, clip_opts);
-  EXPECT_THROW(clip_trainer.train(*store), Error);
+// -- gradient clipping --------------------------------------------------------
+
+constexpr double kClipNorm = 0.05;  // small enough that every step clips
+
+/// The same run written out in one process: the distributed sampler's
+/// shuffled order, 4 graphs per step, unpartitioned forward, joint clip,
+/// Adam.
+std::vector<real> clipped_reference_train() {
+  ModelConfig config;
+  config.hidden_dim = 10;
+  config.num_layers = 2;
+  EGNNModel model(config);
+  const DistTrainOptions defaults;
+  Adam adam(model.parameters(), defaults.adam);
+  const auto store = make_store(1);
+  std::vector<std::int64_t> order(static_cast<std::size_t>(store->size()));
+  std::iota(order.begin(), order.end(), 0);
+  Rng sampler(defaults.sampler_seed);
+  for (std::size_t i = order.size(); i > 1; --i) {
+    std::swap(order[i - 1], order[sampler.uniform_index(i)]);
+  }
+  const std::int64_t batch_size = 4;
+  for (std::int64_t step = 0; step < store->size() / batch_size; ++step) {
+    std::vector<const MolecularGraph*> samples;
+    for (std::int64_t b = 0; b < batch_size; ++b) {
+      samples.push_back(&store->fetch(
+          0, order[static_cast<std::size_t>(step * batch_size + b)]));
+    }
+    const GraphBatch batch = GraphBatch::from_graphs(samples);
+    adam.zero_grad();
+    const auto out = model.forward(batch);
+    LossTerms terms = multitask_loss(out, batch, LossWeights{});
+    terms.total.backward();
+    clip_grad_norm(model.parameters(), kClipNorm);
+    adam.step();
+  }
+  return flatten_parameters(model.parameters());
+}
+
+TEST(GraphParallelClipTest, ClippedParametersMatchSingleRankByteForByte) {
+  // Graph-parallel gradients are replicated exactly on every rank, so each
+  // rank clips the same gradient by the same factor with no cross-rank
+  // reduction, and the run stays bit-identical to one process.
+  const auto clipped = [](int ranks) {
+    return parity_train(ranks, /*graph_parallel=*/true,
+                        /*checkpointing=*/false, nullptr, nullptr, kClipNorm);
+  };
+  const std::vector<real> reference = clipped_reference_train();
+  const std::vector<real> one_rank = clipped(1);
+  EXPECT_EQ(one_rank, reference);
+  EXPECT_NE(one_rank,
+            parity_train(1, /*graph_parallel=*/true, /*checkpointing=*/false))
+      << "the clip never changed an update";
+  for (const int R : {2, 4}) {
+    SCOPED_TRACE("ranks=" + std::to_string(R));
+    const std::vector<real> got = clipped(R);
+    EXPECT_EQ(got, one_rank);
+    EXPECT_EQ(got, reference);
+  }
 }
 
 }  // namespace

@@ -175,6 +175,19 @@ TEST(TrainerTest, EvaluateIsIndependentOfBatchSize) {
   EXPECT_NEAR(a.force_mae, b.force_mae, 1e-9);
 }
 
+TEST(TrainerTest, EvaluateRejectsNonPositiveBatchSize) {
+  const auto& dataset = tiny_dataset();
+  const auto split = dataset.split(0.25, 5);
+  ModelConfig config;
+  config.hidden_dim = 12;
+  config.num_layers = 2;
+  EGNNModel model(config);
+  const Trainer trainer(model, TrainOptions{});
+  const auto view = dataset.view(split.test);
+  EXPECT_THROW(trainer.evaluate(view, 0), Error);
+  EXPECT_THROW(trainer.evaluate(view, -1), Error);
+}
+
 TEST(TrainerTest, WarmupCosineScheduleDrivesTheOptimizer) {
   const auto& dataset = tiny_dataset();
   const auto split = dataset.split(0.25, 5);
