@@ -24,7 +24,7 @@ int main() {
   config.hidden_dim = 40;
   config.num_layers = 3;
 
-  const std::string checkpoint = "ext_transfer_foundation.sgmd";
+  const std::string checkpoint = "ext_transfer_foundation.sgck";
   {
     EGNNModel foundation(config);
     TrainOptions options = sweep_protocol().train;

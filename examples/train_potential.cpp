@@ -106,7 +106,7 @@ int main(int argc, char** argv) {
   std::cout << "\n" << by_source.to_ascii("Test metrics per data source");
 
   // --- Checkpoint the trained model and verify the round trip -------------
-  const std::string model_path = "train_potential_model.sgmd";
+  const std::string model_path = "train_potential_model.sgck";
   save_model(model, model_path);
   const auto restored = load_model(model_path);
   const EvalMetrics original_metrics = trainer.evaluate(test, 16);

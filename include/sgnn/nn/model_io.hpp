@@ -7,31 +7,29 @@
 
 namespace sgnn {
 
-/// Model checkpointing: persists a ModelConfig plus every parameter tensor
-/// to a single CRC-guarded binary file ("SGMD" container, a sibling of the
-/// bp graph format), and restores it. Training-state checkpointing of the
-/// optimizer is deliberately separate (the sgnn::ckpt snapshots, which embed
-/// this payload as their "model" section) so a saved model can be shipped
-/// for inference without its Adam moments.
-///
-/// File layout:
-///   "SGMD" | u32 version | config fields | u64 param_count |
-///   per parameter: u64 rank, i64 dims..., f64 data... | u32 crc | "SGMD"
+/// Model files: persists a ModelConfig plus every parameter tensor, and
+/// restores them. A model file is an SGCK snapshot (sgnn/store/
+/// serialize.hpp) with one section, "model" = model_payload_bytes(model),
+/// so every training checkpoint (which carries the same "model" section
+/// next to its optimizer state) is also a loadable model file. Saves are
+/// atomic and durable (tmp file + fsync + rename). A saved model ships for
+/// inference without its Adam moments.
 void save_model(const EGNNModel& model, const std::string& path);
 
-/// Reconstructs the model (config + weights). Throws Error on a missing,
-/// truncated, corrupted, or incompatible file. (Modules are pinned in
-/// memory, hence the unique_ptr.)
+/// Reconstructs the model (config + weights) from a model file or any
+/// training snapshot. Throws Error on a missing, truncated, corrupted, or
+/// incompatible file. (Modules are pinned in memory, hence the unique_ptr.)
 std::unique_ptr<EGNNModel> load_model(const std::string& path);
 
-/// Reads just the config header (cheap; no parameter data is touched).
+/// Reads just the config (the file is verified, but no model is built).
 ModelConfig peek_model_config(const std::string& path);
 
 /// Restores weights into an existing model whose config must match.
 void load_parameters_into(EGNNModel& model, const std::string& path);
 
-/// Raw SGMD payload bytes (config + parameters, no container framing).
-/// Embedded by sgnn::ckpt training snapshots as their "model" section.
+/// The "model" section bytes (config fields, u64 param_count, then per
+/// parameter u64 rank, i64 dims..., f64 data...; no container framing).
+/// Also what sgnn::serve::Server::swap_weights takes.
 std::string model_payload_bytes(const EGNNModel& model);
 
 /// Restores parameters from payload bytes produced by model_payload_bytes;

@@ -1,9 +1,7 @@
 #include "sgnn/nn/model_io.hpp"
 
 #include <cstring>
-#include <fstream>
 #include <sstream>
-#include <type_traits>
 #include <vector>
 
 #include "sgnn/store/serialize.hpp"
@@ -12,31 +10,6 @@
 namespace sgnn {
 
 namespace {
-
-constexpr char kMagic[4] = {'S', 'G', 'M', 'D'};
-constexpr std::uint32_t kVersion = 3;
-
-// memcpy through a char buffer instead of reinterpret_cast on &value: the
-// byte layout (and thus the on-disk format) is identical, but no pointer of
-// the wrong type is ever formed.
-template <typename T>
-void write_raw(std::ostream& out, const T& value) {
-  static_assert(std::is_trivially_copyable_v<T>);
-  char bytes[sizeof(T)];
-  std::memcpy(bytes, &value, sizeof(T));
-  out.write(bytes, sizeof(T));
-}
-
-template <typename T>
-T read_raw(std::istream& in) {
-  static_assert(std::is_trivially_copyable_v<T>);
-  char bytes[sizeof(T)];
-  in.read(bytes, sizeof(T));
-  SGNN_CHECK(in.good(), "truncated model file");
-  T value;
-  std::memcpy(&value, bytes, sizeof(T));
-  return value;
-}
 
 void write_config(std::ostream& out, const ModelConfig& config) {
   write_raw(out, config.hidden_dim);
@@ -75,29 +48,6 @@ ModelConfig read_config(std::istream& in) {
   return config;
 }
 
-/// Serializes config + parameters into a buffer (so the CRC covers all of
-/// it) and returns the payload.
-std::string serialize_payload(const EGNNModel& model) {
-  std::ostringstream out;
-  write_config(out, model.config());
-  const auto params = model.parameters();
-  write_raw(out, static_cast<std::uint64_t>(params.size()));
-  for (const auto& p : params) {
-    write_raw(out, static_cast<std::uint64_t>(p.rank()));
-    for (std::size_t axis = 0; axis < p.rank(); ++axis) {
-      write_raw(out, p.dim(axis));
-    }
-    const real* data = p.data();
-    // sgnn-lint: allow(aliasing): byte view of a trivially-copyable tensor
-    // buffer for bulk stream IO; a per-element memcpy loop would be slower
-    // and char-pointer access is always defined.
-    out.write(reinterpret_cast<const char*>(data),
-              static_cast<std::streamsize>(
-                  static_cast<std::size_t>(p.numel()) * sizeof(real)));
-  }
-  return out.str();
-}
-
 void restore_parameters(std::istream& in, EGNNModel& model) {
   auto params = model.parameters();
   const auto count = read_raw<std::uint64_t>(in);
@@ -121,7 +71,7 @@ void restore_parameters(std::istream& in, EGNNModel& model) {
     }
     std::vector<real> data(static_cast<std::size_t>(p.numel()));
     // sgnn-lint: allow(aliasing): byte view of a trivially-copyable buffer
-    // for bulk stream IO, mirroring serialize_payload's writer.
+    // for bulk stream IO, mirroring model_payload_bytes's writer.
     in.read(reinterpret_cast<char*>(data.data()),
             static_cast<std::streamsize>(data.size() * sizeof(real)));
     SGNN_CHECK(in.good(), "truncated parameter data");
@@ -133,76 +83,49 @@ void restore_parameters(std::istream& in, EGNNModel& model) {
   }
 }
 
-// Header: magic + u32 version + u64 payload_size. Trailer: u32 crc + magic.
-constexpr std::uint64_t kHeaderBytes = 4 + 4 + 8;
-constexpr std::uint64_t kTrailerBytes = 4 + 4;
-
-std::string read_verified_payload(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  SGNN_CHECK(in.is_open(), "cannot open model file '" << path << "'");
-  in.seekg(0, std::ios::end);
-  const auto file_size = static_cast<std::uint64_t>(in.tellg());
-  in.seekg(0, std::ios::beg);
-  SGNN_CHECK(file_size >= kHeaderBytes + kTrailerBytes,
-             "'" << path << "' too small to be a model file");
-  char magic[4];
-  in.read(magic, 4);
-  SGNN_CHECK(in.good() && std::equal(magic, magic + 4, kMagic),
-             "'" << path << "' is not a model file");
-  const auto version = read_raw<std::uint32_t>(in);
-  SGNN_CHECK(version == kVersion, "'" << path
-                                      << "' has unsupported model version "
-                                      << version);
-  const auto payload_size = read_raw<std::uint64_t>(in);
-  // Bound the allocation by what the file can actually hold: a flipped byte
-  // in the size field must yield a clean Error, not a multi-GB allocation.
-  SGNN_CHECK(payload_size <= file_size - kHeaderBytes - kTrailerBytes,
-             "'" << path << "' declares " << payload_size
-                 << " payload bytes but holds only "
-                 << file_size - kHeaderBytes - kTrailerBytes);
-  std::string payload(payload_size, '\0');
-  in.read(payload.data(), static_cast<std::streamsize>(payload_size));
-  SGNN_CHECK(in.good(), "'" << path << "' truncated payload");
-  const auto stored_crc = read_raw<std::uint32_t>(in);
-  char tail[4];
-  in.read(tail, 4);
-  SGNN_CHECK(in.good() && std::equal(tail, tail + 4, kMagic),
-             "'" << path << "' missing trailer");
-  SGNN_CHECK(crc32(payload.data(), payload.size()) == stored_crc,
-             "'" << path << "' CRC mismatch (corrupt model file)");
-  return payload;
+/// The "model" section of the snapshot file at `path`.
+std::string read_model_section(const std::string& path) {
+  return SnapshotView(read_snapshot_file(path)).bytes("model");
 }
 
 }  // namespace
 
+std::string model_payload_bytes(const EGNNModel& model) {
+  std::ostringstream out;
+  write_config(out, model.config());
+  const auto params = model.parameters();
+  write_raw(out, static_cast<std::uint64_t>(params.size()));
+  for (const auto& p : params) {
+    write_raw(out, static_cast<std::uint64_t>(p.rank()));
+    for (std::size_t axis = 0; axis < p.rank(); ++axis) {
+      write_raw(out, p.dim(axis));
+    }
+    const real* data = p.data();
+    // sgnn-lint: allow(aliasing): byte view of a trivially-copyable tensor
+    // buffer for bulk stream IO; a per-element memcpy loop would be slower
+    // and char-pointer access is always defined.
+    out.write(reinterpret_cast<const char*>(data),
+              static_cast<std::streamsize>(
+                  static_cast<std::size_t>(p.numel()) * sizeof(real)));
+  }
+  return out.str();
+}
+
 void save_model(const EGNNModel& model, const std::string& path) {
-  const std::string payload = serialize_payload(model);
-  std::ofstream out(path, std::ios::binary);
-  SGNN_CHECK(out.is_open(), "cannot open '" << path << "' for writing");
-  out.write(kMagic, 4);
-  write_raw(out, kVersion);
-  write_raw(out, static_cast<std::uint64_t>(payload.size()));
-  out.write(payload.data(), static_cast<std::streamsize>(payload.size()));
-  write_raw(out, crc32(payload.data(), payload.size()));
-  out.write(kMagic, 4);
-  SGNN_CHECK(out.good(), "write failure while saving model");
+  SnapshotBuilder builder;
+  builder.add_bytes("model", model_payload_bytes(model));
+  write_snapshot_file(path, builder.payload());
 }
 
 std::unique_ptr<EGNNModel> load_model(const std::string& path) {
-  const std::string payload = read_verified_payload(path);
-  std::istringstream in(payload);
-  const ModelConfig config = read_config(in);
-  auto model = std::make_unique<EGNNModel>(config);
+  std::istringstream in(read_model_section(path));
+  auto model = std::make_unique<EGNNModel>(read_config(in));
   restore_parameters(in, *model);
   return model;
 }
 
 void load_parameters_into(EGNNModel& model, const std::string& path) {
-  load_model_payload(model, read_verified_payload(path));
-}
-
-std::string model_payload_bytes(const EGNNModel& model) {
-  return serialize_payload(model);
+  load_model_payload(model, read_model_section(path));
 }
 
 void load_model_payload(EGNNModel& model, const std::string& payload) {
@@ -220,8 +143,7 @@ void load_model_payload(EGNNModel& model, const std::string& payload) {
 }
 
 ModelConfig peek_model_config(const std::string& path) {
-  const std::string payload = read_verified_payload(path);
-  std::istringstream in(payload);
+  std::istringstream in(read_model_section(path));
   return read_config(in);
 }
 

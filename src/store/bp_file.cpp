@@ -1,8 +1,6 @@
 #include "sgnn/store/bp_file.hpp"
 
-#include <cstring>
 #include <sstream>
-#include <type_traits>
 
 #include "sgnn/store/serialize.hpp"
 #include "sgnn/util/error.hpp"
@@ -12,29 +10,10 @@ namespace sgnn {
 namespace {
 
 constexpr char kMagic[4] = {'S', 'G', 'B', 'P'};
-constexpr std::uint32_t kVersion = 2;
+constexpr std::uint32_t kVersion = 3;
 
-// memcpy through a char buffer instead of reinterpret_cast on &value: the
-// byte layout (and thus the on-disk format) is identical, but no pointer of
-// the wrong type is ever formed.
-template <typename T>
-void write_raw(std::ostream& out, const T& value) {
-  static_assert(std::is_trivially_copyable_v<T>);
-  char bytes[sizeof(T)];
-  std::memcpy(bytes, &value, sizeof(T));
-  out.write(bytes, sizeof(T));
-}
-
-template <typename T>
-T read_raw(std::istream& in) {
-  static_assert(std::is_trivially_copyable_v<T>);
-  char bytes[sizeof(T)];
-  in.read(bytes, sizeof(T));
-  SGNN_CHECK(in.good(), "truncated bp file");
-  T value;
-  std::memcpy(&value, bytes, sizeof(T));
-  return value;
-}
+// Per footer entry: u64 offset, u64 size, u32 record crc.
+constexpr std::uint64_t kEntryBytes = 8 + 8 + 4;
 
 }  // namespace
 
@@ -57,16 +36,19 @@ std::size_t BpWriter::append(const MolecularGraph& graph) {
   std::ostringstream record;
   write_graph_record(record, graph);
   const std::string payload = record.str();
-  const auto offset = static_cast<std::uint64_t>(out_.tellp());
+  BpIndexEntry entry;
+  entry.offset = static_cast<std::uint64_t>(out_.tellp());
+  entry.size = payload.size();
+  entry.crc = crc32(payload.data(), payload.size());
   out_.write(payload.data(), static_cast<std::streamsize>(payload.size()));
   SGNN_CHECK(out_.good(), "write failure on bp record");
-  offsets_.emplace_back(offset, payload.size());
-  return offsets_.size() - 1;
+  index_.push_back(entry);
+  return index_.size() - 1;
 }
 
 std::uint64_t BpWriter::payload_bytes() const {
   std::uint64_t total = 0;
-  for (const auto& [offset, size] : offsets_) total += size;
+  for (const BpIndexEntry& entry : index_) total += entry.size;
   return total;
 }
 
@@ -75,10 +57,11 @@ void BpWriter::finalize() {
   finalized_ = true;
 
   std::ostringstream footer;
-  write_raw(footer, static_cast<std::uint64_t>(offsets_.size()));
-  for (const auto& [offset, size] : offsets_) {
-    write_raw(footer, offset);
-    write_raw(footer, size);
+  write_raw(footer, static_cast<std::uint64_t>(index_.size()));
+  for (const BpIndexEntry& entry : index_) {
+    write_raw(footer, entry.offset);
+    write_raw(footer, entry.size);
+    write_raw(footer, entry.crc);
   }
   const std::string index_bytes = footer.str();
   const std::uint32_t crc = crc32(index_bytes.data(), index_bytes.size());
@@ -131,15 +114,17 @@ BpReader::BpReader(const std::string& path)
 
   std::istringstream index_stream(index_bytes);
   const auto count = read_raw<std::uint64_t>(index_stream);
-  SGNN_CHECK(footer_size == 8 + count * 16,
+  SGNN_CHECK(footer_size == 8 + count * kEntryBytes,
              "'" << path << "' footer length disagrees with record count");
   index_.reserve(count);
   for (std::uint64_t i = 0; i < count; ++i) {
-    const auto offset = read_raw<std::uint64_t>(index_stream);
-    const auto size = read_raw<std::uint64_t>(index_stream);
-    SGNN_CHECK(offset >= 8 && offset + size <= file_size,
+    BpIndexEntry entry;
+    entry.offset = read_raw<std::uint64_t>(index_stream);
+    entry.size = read_raw<std::uint64_t>(index_stream);
+    entry.crc = read_raw<std::uint32_t>(index_stream);
+    SGNN_CHECK(entry.offset >= 8 && entry.offset + entry.size <= file_size,
                "'" << path << "' record " << i << " out of bounds");
-    index_.emplace_back(offset, size);
+    index_.push_back(entry);
   }
 }
 
@@ -147,14 +132,22 @@ MolecularGraph BpReader::read(std::size_t record) const {
   SGNN_CHECK(record < index_.size(), "record " << record << " out of range ("
                                                << index_.size()
                                                << " records)");
+  const BpIndexEntry& entry = index_[record];
+  std::string bytes(entry.size, '\0');
   in_.clear();
-  in_.seekg(static_cast<std::streamoff>(index_[record].first));
-  return read_graph_record(in_);
+  in_.seekg(static_cast<std::streamoff>(entry.offset));
+  in_.read(bytes.data(), static_cast<std::streamsize>(entry.size));
+  SGNN_CHECK(in_.good(), "'" << path_ << "' record " << record << " truncated");
+  SGNN_CHECK(crc32(bytes.data(), bytes.size()) == entry.crc,
+             "'" << path_ << "' record " << record
+                 << " CRC mismatch (corrupt record)");
+  std::istringstream stream(bytes);
+  return read_graph_record(stream);
 }
 
 std::uint64_t BpReader::record_bytes(std::size_t record) const {
   SGNN_CHECK(record < index_.size(), "record " << record << " out of range");
-  return index_[record].second;
+  return index_[record].size;
 }
 
 }  // namespace sgnn

@@ -731,5 +731,82 @@ TEST(SnapshotLayoutTest, GraphParallelSnapshotLayoutIsPinned) {
   check_dist_layout(DistStrategy::kDDP, true, {"optim.m", "optim.v"});
 }
 
+// -- model files are snapshots -------------------------------------------------
+//
+// A model file is an SGCK snapshot with the single section "model", and
+// every training snapshot carries that section too: each kind of file can
+// be opened by the other's reader, and the trainers' meta checks keep a
+// model file from being mistaken for training state.
+
+ModelConfig interop_config() {
+  ModelConfig config;
+  config.hidden_dim = 10;
+  config.num_layers = 2;
+  return config;
+}
+
+TEST(ModelFileSnapshotTest, SavedModelHoldsOnlyTheModelSection) {
+  TempDir dir("sgnn_model_file_snapshot_test");
+  std::filesystem::create_directories(dir.path());
+  const std::string path =
+      (std::filesystem::path(dir.path()) / "model.sgck").string();
+  const EGNNModel model(interop_config());
+  save_model(model, path);
+
+  const std::string payload = ckpt::read_snapshot_file(path);
+  EXPECT_EQ(section_names(payload), std::vector<std::string>{"model"});
+  EXPECT_EQ(ckpt::SnapshotView(payload).bytes("model"),
+            model_payload_bytes(model));
+  // The atomic-rename protocol must not leave the staging file behind.
+  EXPECT_FALSE(std::filesystem::exists(path + ".tmp"));
+}
+
+TEST(ModelFileSnapshotTest, LoadModelReadsATrainerCheckpoint) {
+  const auto& dataset = tiny_dataset();
+  const auto split = dataset.split(0.25, 5);
+  EGNNModel model(interop_config());
+  TempDir dir("sgnn_model_from_ckpt_test");
+  TrainOptions options;
+  options.epochs = 1;
+  options.batch_size = 4;
+  DataLoader loader(dataset.view(split.train), options.batch_size, 11);
+  options.checkpoint.every_steps = loader.num_batches();
+  options.checkpoint.directory = dir.path();
+  Trainer trainer(model, options);
+  trainer.fit(loader);
+
+  const auto loaded = ckpt::CheckpointManager::load_latest(dir.path());
+  ASSERT_TRUE(loaded.has_value());
+  const auto restored = load_model(loaded->path);
+  EXPECT_EQ(model_payload_bytes(*restored),
+            model_payload_bytes(trainer.model()));
+  EXPECT_EQ(flatten_parameters(restored->parameters()),
+            flatten_parameters(trainer.model().parameters()));
+}
+
+TEST(ModelFileSnapshotTest, TrainerRefusesToResumeFromAModelFile) {
+  TempDir dir("sgnn_resume_from_model_test");
+  std::filesystem::create_directories(dir.path());
+  const std::string path =
+      (std::filesystem::path(dir.path()) / "model.sgck").string();
+  ModelConfig saved_config = interop_config();
+  saved_config.seed = 77;  // same architecture, different weights
+  save_model(EGNNModel(saved_config), path);
+
+  const auto& dataset = tiny_dataset();
+  const auto split = dataset.split(0.25, 5);
+  EGNNModel model(interop_config());
+  const std::string before = model_payload_bytes(model);
+  TrainOptions options;
+  options.epochs = 1;
+  options.batch_size = 4;
+  options.checkpoint.resume_from = path;
+  Trainer trainer(model, options);
+  DataLoader loader(dataset.view(split.train), options.batch_size, 11);
+  // No meta.* sections: the resume is refused before any weight is loaded.
+  EXPECT_THROW(trainer.fit(loader), Error);
+  EXPECT_EQ(model_payload_bytes(model), before);
+}
+
 }  // namespace
 }  // namespace sgnn

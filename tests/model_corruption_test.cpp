@@ -1,8 +1,8 @@
-// Corruption matrix over the two binary containers (SGMD model files and
-// SGCK training snapshots): every mutation — truncation at any length,
-// oversized payload_size, flipped CRC, wrong magic/version, random bit
-// flips — must surface as a thrown sgnn::Error, never a crash, hang, or
-// huge allocation.
+// Corruption matrix over every on-disk format: SGCK snapshots (model files
+// and training snapshots share that container) and SGBP graph files. Every
+// mutation — truncation at any length, oversized payload_size, flipped CRC,
+// wrong magic/version, bit flips — must surface as a thrown sgnn::Error,
+// never a crash, hang, or huge allocation.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -13,13 +13,15 @@
 #include <vector>
 
 #include "sgnn/ckpt/checkpoint.hpp"
+#include "sgnn/data/sources.hpp"
 #include "sgnn/nn/model_io.hpp"
+#include "sgnn/store/bp_file.hpp"
 #include "sgnn/util/rng.hpp"
 
 namespace sgnn {
 namespace {
 
-// Shared container framing (SGMD and SGCK use the same layout).
+// SGCK framing (model files and training snapshots are both SGCK files).
 constexpr std::size_t kHeaderBytes = 16;   // magic + u32 version + u64 size
 constexpr std::size_t kPayloadSizeOffset = 8;
 constexpr std::size_t kTrailerBytes = 8;   // u32 crc + magic
@@ -242,6 +244,65 @@ TEST(CorruptionMatrixTest, RandomBitFlipsAlwaysThrowCleanly) {
     } else {
       expect_snapshot_load_throws(bytes);
     }
+  }
+}
+
+// -- SGBP graph files -------------------------------------------------------
+
+/// Pristine bytes of a finalized 2-record bp file, computed once.
+const std::string& bp_bytes() {
+  static const std::string bytes = [] {
+    const ReferencePotential potential;
+    Rng rng(31);
+    TempFile file("sgnn_corruption_graphs.bp");
+    BpWriter writer(file.path());
+    writer.append(generate_sample(DataSource::kANI1x, rng, potential));
+    writer.append(generate_sample(DataSource::kMPTrj, rng, potential));
+    writer.finalize();
+    return slurp(file.path());
+  }();
+  return bytes;
+}
+
+/// True when opening the file, or reading any of its records, throws Error.
+bool bp_load_throws(const std::string& bytes) {
+  TempFile file("sgnn_corruption_case.bp");
+  spew(file.path(), bytes);
+  try {
+    const BpReader reader(file.path());
+    for (std::size_t r = 0; r < reader.size(); ++r) reader.read(r);
+  } catch (const Error&) {
+    return true;
+  }
+  return false;
+}
+
+TEST(CorruptionMatrixTest, BpFileRoundTripsBeforeMutation) {
+  EXPECT_FALSE(bp_load_throws(bp_bytes()));
+}
+
+TEST(CorruptionMatrixTest, BpFileTruncatedAtEveryLengthThrowsAtOpen) {
+  const std::string& pristine = bp_bytes();
+  for (std::size_t n = 0; n < pristine.size(); ++n) {
+    SCOPED_TRACE("truncated to " + std::to_string(n) + " bytes");
+    TempFile file("sgnn_corruption_case.bp");
+    spew(file.path(), pristine.substr(0, n));
+    EXPECT_THROW(BpReader{file.path()}, Error);
+  }
+}
+
+TEST(CorruptionMatrixTest, BpFileBitFlipAtEveryByteThrows) {
+  // Records carry their own CRC in the footer index, so a flip inside a
+  // record's positions, forces or energy is caught at read(r), not only
+  // flips that break the structure.
+  const std::string& pristine = bp_bytes();
+  for (std::size_t i = 0; i < pristine.size(); ++i) {
+    std::string bytes = pristine;
+    const int bit = static_cast<int>(i % 8);
+    bytes[i] = static_cast<char>(bytes[i] ^ (1 << bit));
+    SCOPED_TRACE("bp byte " + std::to_string(i) + " bit " +
+                 std::to_string(bit));
+    EXPECT_TRUE(bp_load_throws(bytes));
   }
 }
 

@@ -104,9 +104,9 @@ TEST(RobustnessTest, BpFileSurvivesRandomByteFlips) {
     }
     std::remove(clone.c_str());
   }
-  // Most flips hit the payload (positions/forces are not CRC'd per record
-  // by design — the footer CRC guards the index); at least the structural
-  // flips must be caught.
+  // Every record carries its own CRC in the footer index and the index has
+  // a CRC of its own, so flips in the payload are caught as well as the
+  // structural ones (model_corruption_test flips every byte).
   EXPECT_GT(detected, 0);
 }
 

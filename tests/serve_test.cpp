@@ -5,17 +5,22 @@
 #include <algorithm>
 #include <atomic>
 #include <cmath>
+#include <filesystem>
 #include <future>
 #include <numeric>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include "sgnn/ckpt/checkpoint.hpp"
+#include "sgnn/data/loader.hpp"
+#include "sgnn/data/sources.hpp"
 #include "sgnn/graph/batch.hpp"
 #include "sgnn/graph/graph.hpp"
 #include "sgnn/nn/model_io.hpp"
 #include "sgnn/serve/cache.hpp"
 #include "sgnn/tensor/ops.hpp"
+#include "sgnn/train/trainer.hpp"
 #include "sgnn/util/error.hpp"
 #include "sgnn/util/rng.hpp"
 
@@ -433,6 +438,57 @@ TEST(ServerTest, WeightSwapUnderLoadIsZeroDowntime) {
   torn.resize(torn.size() / 2);
   EXPECT_THROW(server.swap_weights(torn), Error);
   EXPECT_EQ(server.weights_version(), 2u);
+}
+
+TEST(ServerTest, SwapsWeightsStraightFromACheckpointDirectory) {
+  // A training checkpoint carries the served weight payload as its "model"
+  // section, so the newest snapshot under a checkpoint directory can be
+  // swapped in without a separate model export.
+  const ModelConfig config = serve_config();
+  const std::string dir =
+      (std::filesystem::temp_directory_path() / "sgnn_serve_ckpt_swap")
+          .string();
+  std::filesystem::remove_all(dir);
+
+  const ReferencePotential potential;
+  Rng data_rng(16);
+  std::vector<MolecularGraph> graphs;
+  for (int i = 0; i < 8; ++i) {
+    graphs.push_back(generate_sample(DataSource::kANI1x, data_rng, potential));
+  }
+  std::vector<const MolecularGraph*> views;
+  for (const auto& graph : graphs) views.push_back(&graph);
+  EGNNModel trained(config);
+  TrainOptions train_options;
+  train_options.epochs = 2;
+  train_options.batch_size = 4;
+  train_options.checkpoint.every_steps = 2;
+  train_options.checkpoint.directory = dir;
+  DataLoader loader(views, train_options.batch_size, 5);
+  Trainer(trained, train_options).fit(loader);
+
+  ServerOptions options;
+  options.cache_capacity = 0;
+  Server server(config, model_payload_bytes(EGNNModel(config)), options);
+  const auto latest = ckpt::CheckpointManager::load_latest(dir);
+  ASSERT_TRUE(latest.has_value());
+  EXPECT_EQ(latest->step, 4u);
+  server.swap_weights(ckpt::SnapshotView(latest->payload).bytes("model"));
+  EXPECT_EQ(server.weights_version(), 2u);
+
+  Rng rng(17);
+  const AtomicStructure structure = random_cluster(7, 5.0, rng);
+  const InferenceResult result = server.submit({structure, true}).get();
+  EXPECT_EQ(result.weights_version, 2u);
+  const auto [energy, forces] = reference_predict(trained, structure, true);
+  EXPECT_NEAR(result.energy, energy, 1e-9);
+  ASSERT_EQ(result.forces.size(), forces.size());
+  for (std::size_t a = 0; a < forces.size(); ++a) {
+    EXPECT_NEAR(result.forces[a].x, forces[a].x, 1e-9);
+    EXPECT_NEAR(result.forces[a].y, forces[a].y, 1e-9);
+    EXPECT_NEAR(result.forces[a].z, forces[a].z, 1e-9);
+  }
+  std::filesystem::remove_all(dir);
 }
 
 TEST(ServerTest, ConcurrentSubmittersAllComplete) {
